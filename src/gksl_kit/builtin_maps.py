@@ -90,6 +90,8 @@ def resolve_builtin(spec: str):
     name = parts.netloc or rest.split("?")[0]
     q = _params(parts.query)
     d = int(q.get("d", 2))
+    if d < 1:
+        raise ValueError(f"builtin dimension d must be >= 1, got {d}")
     if name == "identity":
         return "map", identity_superop(d)
     if name == "transpose":
@@ -108,6 +110,8 @@ def resolve_builtin(spec: str):
         support = q.get("support")
         if support is not None:
             from .generators import embedded_presentation, random_minimal_presentation
+            if not 1 <= int(support) <= d:
+                raise ValueError(f"support must lie in [1, d={d}], got {support}")
             p = random_minimal_presentation(int(support), seed=int(q.get("seed", 0)),
                                             trace=q.get("trace", "preserving"))
             return "generator", assemble_generator(embedded_presentation(p, d))

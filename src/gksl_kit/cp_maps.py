@@ -16,6 +16,8 @@ from .operators import (
     DEFAULT_TOL,
     SeedLike,
     Tolerance,
+    _is_hermitian,
+    _spectrum_ok,
     as_operator,
     as_rng,
     dag,
@@ -84,12 +86,11 @@ def kraus_extract(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> KrausFami
     lambda_max are kept, ordered by descending eigenvalue, each operator
     phase-fixed. Raises :class:`NotCPError` when the Choi matrix is not PSD.
     """
-    psd, lam_min = is_positive_semidefinite(lam.choi.matrix, tol)
-    if not psd:
+    c = lam.choi.matrix
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (c + dag(c)))
+    if not (_is_hermitian(c, tol.rtol) and _spectrum_ok(eigvals, tol.rtol)):
         raise NotCPError(
-            f"map is not CP: Choi min eigenvalue {lam_min:.3e}", lam_min)
-    c = 0.5 * (lam.choi.matrix + dag(lam.choi.matrix))
-    eigvals, eigvecs = np.linalg.eigh(c)
+            f"map is not CP: Choi min eigenvalue {eigvals[0]:.3e}", float(eigvals[0]))
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     lam_max = max(eigvals[0], 0.0)
@@ -160,11 +161,8 @@ def intermediate_form(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Inter
     c = (np.conj(w) @ (dmat @ w)).real / d ** 2
     b = traceless_projection((dmat @ w).reshape(d, d) / d)
     p0 = traceless_block_projector(d)
+    # a compression of dmat: PSD whenever dmat is, so it needs no decision of its own
     theta = p0 @ dmat @ p0
-    theta_psd, theta_min = is_positive_semidefinite(theta, tol)
-    if not theta_psd:
-        raise NotCPError(
-            f"inconsistent input: traceless block not PSD ({theta_min:.3e})", theta_min)
     a_op = b + (c / 2.0) * np.eye(d)
     return IntermediateForm(theta=theta, a_op=a_op, c=float(c))
 

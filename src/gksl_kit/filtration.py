@@ -22,6 +22,7 @@ from .errors import NormBoundViolatedError, NotDcpError, NotProjectiveError
 from .operators import (
     DEFAULT_TOL,
     Tolerance,
+    _is_hermitian,
     as_operator,
     dag,
     operator_norm,
@@ -81,9 +82,8 @@ class Filtration:
 def lift_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SuperOperator:
     """Lift an orthoprojection P to the CP superoperator P [] P."""
     p = as_operator(p)
-    scale = max(1.0, float(np.linalg.norm(p)))
-    if np.linalg.norm(p @ p - p) > tol.rtol * scale or \
-            np.linalg.norm(p - dag(p)) > tol.rtol * scale:
+    if not _is_hermitian(p, tol.rtol) or \
+            np.linalg.norm(p @ p - p) > tol.rtol * max(1.0, float(np.linalg.norm(p))):
         raise ValueError("input is not an orthogonal projection")
     return sandwich(p, p)
 

@@ -20,13 +20,15 @@ from .operators import (
     DEFAULT_TOL,
     SeedLike,
     Tolerance,
+    _is_hermitian,
+    _spectrum_ok,
     as_operator,
     as_rng,
     dag,
-    is_positive_semidefinite,
     operator_norm,
     random_ginibre,
     random_hermitian,
+    traceless_projection,
 )
 from .superops import (
     ChoiMatrix,
@@ -39,15 +41,18 @@ from .superops import (
 from .cp_maps import traceless_block_projector
 
 
-def _hermitian_defect(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - dag(a)))
-
-
 def _require_hermitian(a: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
     a = as_operator(a)
-    if _hermitian_defect(a) > tol.rtol * max(1.0, float(np.linalg.norm(a))):
+    if not _is_hermitian(a, tol.rtol):
         raise ValueError(f"{what} must be hermitian")
     return a
+
+
+def _presentation_scale(psi: SuperOperator, g: np.ndarray, h: np.ndarray) -> float:
+    """The one scale of every check on a presentation (the Psi leak, Tr H and
+    the trace condition): max(1, ||Psi||_F, 2 ||G||_F, ||H||_F)."""
+    return max(1.0, float(np.linalg.norm(psi.matrix)), 2.0 * float(np.linalg.norm(g)),
+               float(np.linalg.norm(h)))
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,11 @@ class GkslPresentation:
         if self.minimal:
             w = dyad_vec(np.eye(d))
             leak = float(np.linalg.norm(self.psi.choi.matrix @ w))
-            scale = max(1.0, float(np.linalg.norm(self.psi.choi.matrix)))
+            scale = _presentation_scale(self.psi, g, h)
             if leak > self.tol.atol * scale * d:
                 raise NotMinimalError(
                     f"Choi(Psi) does not annihilate the identity (leak {leak:.3e})")
-            if abs(np.trace(h)) > self.tol.atol * max(1.0, float(np.linalg.norm(h))) * d:
+            if abs(np.trace(h)) > self.tol.atol * scale * d:
                 raise NotMinimalError(f"H is not traceless (Tr H = {np.trace(h):.3e})")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
@@ -121,9 +126,10 @@ def commutator_generator(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SuperOp
 
 
 def _compressed_choi(lam: SuperOperator) -> np.ndarray:
-    d = lam.dim_in
-    p0 = traceless_block_projector(d)
-    return p0 @ lam.choi.matrix @ p0
+    """Hermitized P0 C P0; it inherits the hermiticity gate of C, not one of its own."""
+    p0 = traceless_block_projector(lam.dim_in)
+    xi = p0 @ lam.choi.matrix @ p0
+    return 0.5 * (xi + dag(xi))
 
 
 def is_dcp(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL,
@@ -131,22 +137,20 @@ def is_dcp(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL,
     """Exact test for generating a CP semigroup.
 
     (i) the Choi matrix must be hermitian (generator of dagger-morphisms) and
-    (ii) its compression onto the traceless block must be PSD. Both
-    subconditions are decided by eigendecomposition; no sampling is involved.
+    (ii) its compression onto the traceless block must be PSD, decided by one
+    eigensolve of the hermitized compression; no sampling is involved.
     """
     if lam.dim_in != lam.dim_out:
         raise ValueError("dCP test needs a square superoperator")
-    c = lam.choi.matrix
-    dag_ok = _hermitian_defect(c) <= tol.rtol * max(1.0, float(np.linalg.norm(c)))
-    compressed = _compressed_choi(lam)
-    psd_ok, min_eig = is_positive_semidefinite(compressed, tol)
-    verdict = bool(dag_ok and psd_ok)
+    dag_ok = _is_hermitian(lam.choi.matrix, tol.rtol)
+    eigs = np.linalg.eigvalsh(_compressed_choi(lam))
+    verdict = dag_ok and _spectrum_ok(eigs, tol.rtol)
     extracted = None
     if verdict and extract:
         extracted = minimal_presentation(lam, tol)
     return DcpVerdict(
-        is_dag_morphism_generator=bool(dag_ok),
-        compressed_choi_min_eig=min_eig,
+        is_dag_morphism_generator=dag_ok,
+        compressed_choi_min_eig=float(eigs[0]),
         is_dcp=verdict,
         extracted=extracted,
     )
@@ -162,32 +166,27 @@ def minimal_presentation(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Gk
         G   = -(A + A^dag)/2,  H = (A^dag - A)/(2i)
         Choi(Psi) = P0 D P0   (compression onto the traceless block)
 
-    guaranteeing Tr H = 0, Choi(Psi)|Id> = 0, and exact reconstruction.
+    guaranteeing Tr H = 0, Choi(Psi)|Id> = 0, and exact reconstruction. H is
+    taken traceless explicitly (shifting H by c Id leaves L unchanged), and
+    the PSD decision on Choi(Psi) is the one :func:`is_dcp` makes.
     """
     d = lam.dim_in
     dmat = lam.choi.matrix
-    if _hermitian_defect(dmat) > tol.rtol * max(1.0, float(np.linalg.norm(dmat))):
+    if not _is_hermitian(dmat, tol.rtol):
         raise NonHermitianChoiError(
             "Choi matrix is not hermitian: not a generator of dagger-morphisms")
     w = dyad_vec(np.eye(d))
-    tau = complex(np.conj(w) @ (dmat @ w)) / (2.0 * d)
-    if abs(tau.imag) > tol.rtol * max(1.0, abs(tau)):
-        raise NonHermitianChoiError(
-            f"trace part of the Choi identity column is not real (tau = {tau:.3e})")
-    a = ((dmat @ w).reshape(d, d) - tau.real * np.eye(d)) / d
+    tau = (np.conj(w) @ (dmat @ w)).real / (2.0 * d)
+    a = ((dmat @ w).reshape(d, d) - tau * np.eye(d)) / d
     g = -0.5 * (a + dag(a))
-    h = (dag(a) - a) / 2j
-    h = 0.5 * (h + dag(h))
-    g = 0.5 * (g + dag(g))
-    xi = _compressed_choi(lam)
-    psd_ok, min_eig = is_positive_semidefinite(xi, tol)
-    if not psd_ok:
+    h = traceless_projection((dag(a) - a) / 2j)
+    psi = jamiolkowski_inv(ChoiMatrix(_compressed_choi(lam), dim_in=d, dim_out=d))
+    try:
+        return GkslPresentation(psi=psi, g=g, h=h, minimal=True, tol=tol)
+    except NotCPError as exc:
         raise NotDcpError(
-            f"compressed Choi matrix is not PSD (min eigenvalue {min_eig:.3e})",
-            min_eig)
-    xi = 0.5 * (xi + dag(xi))
-    psi = jamiolkowski_inv(ChoiMatrix(xi, dim_in=d, dim_out=d))
-    return GkslPresentation(psi=psi, g=g, h=h, minimal=True, tol=tol)
+            f"compressed Choi matrix is not PSD (min eigenvalue {exc.min_eigenvalue:.3e})",
+            exc.min_eigenvalue) from None
 
 
 class TraceConditionResult(NamedTuple):
@@ -201,13 +200,11 @@ def trace_condition(p: GkslPresentation, tol: Tolerance = DEFAULT_TOL) -> TraceC
     Zero defect means trace preserving, negative semidefinite defect means
     trace nonincreasing, anything else is neither.
     """
-    d = p.dim
-    defect = p.psi.dagger().apply(np.eye(d)) - 2.0 * p.g
-    scale = max(1.0, float(np.linalg.norm(p.psi.matrix)), 2.0 * float(np.linalg.norm(p.g)))
+    defect = p.psi.dagger().apply(np.eye(p.dim)) - 2.0 * p.g
+    scale = _presentation_scale(p.psi, p.g, p.h)
     if float(np.linalg.norm(defect)) <= tol.rtol * scale:
         return TraceConditionResult("preserving", defect)
-    neg_ok, _ = is_positive_semidefinite(-defect, tol)
-    if neg_ok:
+    if _spectrum_ok(np.linalg.eigvalsh(-0.5 * (defect + dag(defect))), tol.rtol, scale):
         return TraceConditionResult("nonincreasing", defect)
     return TraceConditionResult("neither", defect)
 

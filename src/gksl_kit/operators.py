@@ -79,23 +79,30 @@ class PsdResult(NamedTuple):
     min_eigenvalue: float
 
 
+def _is_hermitian(a: np.ndarray, rtol: float) -> bool:
+    """Hermiticity gate ||A - A^dag||_F <= rtol * max(1, ||A||_F), applied only
+    to a matrix a caller handed in; matrices derived from it are hermitized."""
+    return float(np.linalg.norm(a - dag(a))) <= rtol * max(1.0, float(np.linalg.norm(a)))
+
+
+def _spectrum_ok(eigs: np.ndarray, rtol: float, scale: float | None = None) -> bool:
+    """Eigenvalue threshold on an ascending spectrum already computed:
+    lambda_min >= -rtol * max(1, scale), scale defaulting to lambda_max."""
+    return float(eigs[0]) >= -rtol * max(1.0, float(eigs[-1]) if scale is None else scale)
+
+
 def is_positive_semidefinite(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
     """Decide positive semidefiniteness of a square matrix.
 
-    A passes when it is hermitian within tolerance (gate: ||A - A^dag||_F <=
-    rtol * max(1, ||A||_F)) and the smallest eigenvalue of its hermitian part
-    satisfies lambda_min >= -rtol * max(1, lambda_max). The eigenvalue is
-    returned either way, so callers can report how badly the test failed.
+    A passes the hermiticity gate (:func:`_is_hermitian`) and the smallest
+    eigenvalue of its hermitian part passes the threshold of
+    :func:`_spectrum_ok`. The eigenvalue is returned either way, so callers
+    can report how badly the test failed.
     """
     a = _require_square(a)
-    herm = 0.5 * (a + dag(a))
-    eigs = np.linalg.eigvalsh(herm)
-    lam_min = float(eigs[0])
-    lam_max = float(eigs[-1])
-    herm_defect = float(np.linalg.norm(a - dag(a)))
-    if herm_defect > tol.rtol * max(1.0, float(np.linalg.norm(a))):
-        return PsdResult(False, lam_min)
-    return PsdResult(lam_min >= -tol.rtol * max(1.0, lam_max), lam_min)
+    eigs = np.linalg.eigvalsh(0.5 * (a + dag(a)))
+    return PsdResult(_is_hermitian(a, tol.rtol) and _spectrum_ok(eigs, tol.rtol),
+                     float(eigs[0]))
 
 
 class HermitianSplit(NamedTuple):

@@ -126,8 +126,8 @@ def superop_from_payload(payload: dict) -> SuperOperator:
             f"unsupported vectorization {payload.get('vectorization')!r}; "
             f"this tool reads {VECTORIZATION}")
     tag = payload.get("repr")
-    d_in, d_out = int(payload["dim_in"]), int(payload["dim_out"])
     try:
+        d_in, d_out = int(payload["dim_in"]), int(payload["dim_out"])
         if tag == "matrix":
             m = matrix_from_json(payload["matrix"], "superoperator matrix")
             return SuperOperator(m, d_in, d_out)
@@ -144,7 +144,9 @@ def superop_from_payload(payload: dict) -> SuperOperator:
             return assemble_generator(presentation_from_payload(payload))
     except ParseError:
         raise
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
     raise ParseError(f"unknown repr tag {tag!r}")
 
@@ -152,9 +154,9 @@ def superop_from_payload(payload: dict) -> SuperOperator:
 def presentation_from_payload(payload: dict) -> GkslPresentation:
     if payload.get("repr") != "gksl":
         raise ParseError(f"expected repr 'gksl', got {payload.get('repr')!r}")
-    d = int(payload["dim_in"])
-    psi_payload = payload["psi"]
     try:
+        d = int(payload["dim_in"])
+        psi_payload = payload["psi"]
         if psi_payload.get("repr") == "choi":
             c = matrix_from_json(psi_payload["choi"], "Psi Choi matrix")
             psi = jamiolkowski_inv(ChoiMatrix(c, dim_in=d, dim_out=d))
@@ -169,7 +171,9 @@ def presentation_from_payload(payload: dict) -> GkslPresentation:
                                 minimal=bool(payload.get("minimal", False)))
     except ParseError:
         raise
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -217,9 +221,12 @@ def dump_json(payload: dict, path: str) -> None:
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path} must hold a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def canonical_bytes(payload: dict) -> bytes:

@@ -23,6 +23,7 @@ from .operators import (
     DEFAULT_TOL,
     SeedLike,
     Tolerance,
+    _is_hermitian,
     as_operator,
     as_rng,
     dag,
@@ -319,8 +320,7 @@ def hs_inner_superop(lam: SuperOperator, gam: SuperOperator) -> complex:
 
 def is_dag_morphism(lam: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the map commutes with the adjoint, i.e. the Choi matrix is hermitian."""
-    c = lam.choi.matrix
-    return float(np.linalg.norm(c - dag(c))) <= tol.rtol * max(1.0, float(np.linalg.norm(c)))
+    return _is_hermitian(lam.choi.matrix, tol.rtol)
 
 
 class CpResult(NamedTuple):
@@ -378,40 +378,32 @@ def rank_n_positive_falsifier(lam: SuperOperator, n: int,
     A witness refutes rank-N-positivity of the map's transform, equivalently
     N-monotonicity of the map itself. Returning None proves nothing for N < d:
     the search is random restarts plus projected descent. For N = d the
-    property coincides with complete positivity, so the search is skipped and
-    the Choi matrix is eigendecomposed exactly instead.
+    property coincides with complete positivity: a witness, an eigenvector of
+    the Choi matrix's hermitian or anti-hermitian part, is returned exactly
+    when :func:`is_cp` is False.
     """
     d = min(lam.dim_in, lam.dim_out)
     if not (1 <= n <= d):
         raise ValueError(f"rank must satisfy 1 <= N <= {d}, got {n}")
     q = lam.choi.matrix
     t_shape = (lam.dim_out, lam.dim_in)
-    scale = max(1.0, float(np.linalg.norm(q, ord=2)))
-    threshold = tol.rtol * scale
+    qh = 0.5 * (q + dag(q))
+    qa = (q - dag(q)) / 2j
 
     if n == d:
-        herm_defect = float(np.linalg.norm(q - dag(q)))
-        qh = 0.5 * (q + dag(q))
-        eigs, vecs = np.linalg.eigh(qh)
-        if eigs[0] < -threshold:
-            t = vecs[:, 0].reshape(t_shape)
-            return RankWitness(t, choi_quadratic_form(lam, t))
-        if herm_defect > threshold:
-            # hermitian part PSD but the form takes non-real values somewhere
-            qa = (q - dag(q)) / 2j
+        if is_cp(lam, tol).ok:
+            return None
+        if is_dag_morphism(lam, tol):
+            t = np.linalg.eigh(qh)[1][:, 0]
+        else:
             ieigs, ivecs = np.linalg.eigh(qa)
-            idx = int(np.argmax(np.abs(ieigs)))
-            if abs(ieigs[idx]) > threshold:
-                t = ivecs[:, idx].reshape(t_shape)
-                return RankWitness(t, choi_quadratic_form(lam, t))
-        return None
+            t = ivecs[:, int(np.argmax(np.abs(ieigs)))]
+        t = t.reshape(t_shape)
+        return RankWitness(t, choi_quadratic_form(lam, t))
 
     rng = as_rng(seed)
-    qh = 0.5 * (q + dag(q))
-    forms = [qh]
-    qa = (q - dag(q)) / 2j
-    if float(np.linalg.norm(qa)) > threshold:
-        forms += [qa, -qa]
+    threshold = tol.rtol * max(1.0, float(np.linalg.norm(q, ord=2)))
+    forms = [qh] if is_dag_morphism(lam, tol) else [qh, qa, -qa]
     for _ in range(budget):
         t0 = random_ginibre(*t_shape, seed=rng)
         for form in forms:

@@ -24,12 +24,14 @@ def test_check_cp_transpose_exit_1(capsys):
     assert not report["claims"]["is_cp"]["value"]
     assert report["claims"]["is_cp"]["choi_min_eigenvalue"] == pytest.approx(-1.0)
     assert report["claims"]["monotone"]["value"]
+    assert report["claims"]["monotone"]["evidence"] == "falsifier"
 
 
 def test_check_cp_identity_exit_0(capsys):
     code, report = run(capsys, "check-cp", "builtin:identity")
     assert code == 0
     assert report["claims"]["is_cp"]["value"]
+    assert report["claims"]["monotone"] == {"value": True, "evidence": "exact"}
 
 
 def test_check_cp_kraus_repr_notes_cp(tmp_path, capsys):
@@ -183,6 +185,33 @@ def test_dimension_error_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     code, _ = run(capsys, "check-cp", str(bad))
     assert code == 2
+
+
+def assert_input_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_zero_dimension_builtin_exit_2(capsys):
+    assert_input_error(capsys, "check-generator", "builtin:random-dcp?d=0")
+
+
+def test_non_object_payload_exit_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert_input_error(capsys, "check-cp", str(bad))
+
+
+def test_missing_dim_field_exit_2(tmp_path, capsys):
+    payload = superop_to_payload(transpose_map(2), "matrix")
+    del payload["dim_in"]
+    bad = tmp_path / "no_dim.json"
+    bad.write_text(json.dumps(payload))
+    assert_input_error(capsys, "check-cp", str(bad))
 
 
 def test_reports_replayable(tmp_path, capsys):

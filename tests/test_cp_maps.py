@@ -5,12 +5,16 @@ import pytest
 from gksl_kit.errors import NotCPError
 from gksl_kit.operators import dag, random_density_matrix, random_ginibre, random_haar_unitary
 from gksl_kit.superops import (
+    SuperOperator,
     dyad_vec,
     identity_superop,
     is_cp,
+    rank_n_positive_falsifier,
     sandwich,
     transpose_map,
 )
+from gksl_kit.generators import minimal_presentation
+from scaled_cases import CASES, shifted_noisy_generator
 from gksl_kit.cp_maps import (
     cp_closure_checks,
     intermediate_form,
@@ -187,3 +191,33 @@ def test_zero_map_extracts():
     assert len(fam) == 1
     assert np.allclose(fam.operators[0], 0)
     assert is_cp(kraus_assemble(fam)).ok
+
+
+CP_AGREEMENT_CASES = [
+    pytest.param(lambda s=s, noise=noise: shifted_noisy_generator(s, noise), False,
+                 id=f"generator-shift={s:g}-noise={noise:g}") for s, noise in CASES
+] + [
+    pytest.param(lambda s=s, noise=noise: minimal_presentation(
+        shifted_noisy_generator(s, noise)).psi, True,
+        id=f"psi-shift={s:g}-noise={noise:g}") for s, noise in CASES
+] + [
+    pytest.param(lambda: identity_superop(3), True, id="identity"),
+    pytest.param(lambda: transpose_map(3), False, id="transpose"),
+    pytest.param(lambda: transpose_map(2) - identity_superop(2), False,
+                 id="transpose-minus-identity"),
+    pytest.param(lambda: SuperOperator(random_ginibre(9, 9, seed=19)), False,
+                 id="non-hermitian-choi"),
+]
+
+
+@pytest.mark.parametrize("build, cp", CP_AGREEMENT_CASES)
+def test_extraction_agrees_with_is_cp(build, cp):
+    lam = build()
+    assert is_cp(lam).ok == cp
+    for extract in (kraus_extract, intermediate_form):
+        if cp:
+            extract(lam)
+        else:
+            with pytest.raises(NotCPError):
+                extract(lam)
+    assert (rank_n_positive_falsifier(lam, lam.dim_in) is None) == cp

@@ -1,6 +1,12 @@
 """Tests for the generator canonical form, exact dCP decision, and averages."""
+import json
+
 import numpy as np
 import pytest
+
+from gksl_kit.cli import main
+from gksl_kit.serialize import dump_json, superop_to_payload
+from scaled_cases import CASES, shifted_noisy_generator
 
 from gksl_kit.errors import NonHermitianChoiError, NotCPError, NotDcpError, NotMinimalError
 from gksl_kit.operators import (
@@ -17,7 +23,7 @@ from gksl_kit.superops import (
     is_cp,
     transpose_map,
 )
-from gksl_kit.cp_maps import kraus_assemble
+from gksl_kit.cp_maps import intermediate_form, kraus_assemble, kraus_extract, random_cp_map
 from gksl_kit.generators import (
     GkslPresentation,
     assemble_generator,
@@ -126,6 +132,54 @@ def test_dcp_cone():
     for _ in range(5):
         a, b = rng.uniform(0, 3, size=2)
         assert is_dcp(a * l1 + b * l2).is_dcp
+
+
+AGREEMENT_CASES = [
+    pytest.param(lambda s=s, noise=noise: shifted_noisy_generator(s, noise), True,
+                 id=f"shift={s:g}-noise={noise:g}") for s, noise in CASES
+] + [
+    pytest.param(lambda: transpose_map(2) - identity_superop(2), False,
+                 id="transpose-minus-identity-2"),
+    pytest.param(lambda: transpose_map(3) - identity_superop(3), False,
+                 id="transpose-minus-identity-3"),
+    pytest.param(lambda: SuperOperator(random_ginibre(9, 9, seed=4)), False,
+                 id="non-hermitian-choi"),
+]
+
+
+@pytest.mark.parametrize("build, dcp", AGREEMENT_CASES)
+def test_entry_points_agree(build, dcp, tmp_path, capsys):
+    lam = build()
+    assert is_dcp(lam).is_dcp == dcp
+    assert is_cp_group_generator(lam)["forward_dcp"] == dcp
+    path = tmp_path / "gen.json"
+    dump_json(superop_to_payload(lam, "matrix"), str(path))
+    code = main(["check-generator", str(path)])
+    assert json.loads(capsys.readouterr().out)["claims"]["is_dcp"]["value"] == dcp
+    assert code == (0 if dcp else 1)
+    if not dcp:
+        with pytest.raises((NotDcpError, NonHermitianChoiError)):
+            minimal_presentation(lam)
+        return
+    back = assemble_generator(minimal_presentation(lam))
+    assert np.linalg.norm(back.matrix - lam.matrix) <= 1e-10 * np.linalg.norm(lam.matrix)
+
+
+@pytest.mark.parametrize("entry", [is_cp, is_dcp, minimal_presentation, kraus_extract,
+                                   intermediate_form], ids=lambda f: f.__name__)
+def test_one_eigensolve_per_decision(entry, monkeypatch):
+    d = 4
+    generator = entry in (is_dcp, minimal_presentation)
+    lam = random_dcp_generator(d, seed=2) if generator else random_cp_map(d, seed=2)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            if np.shape(a)[-2:] == (d * d, d * d):
+                calls.append(_real.__name__)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    entry(lam)
+    assert len(calls) == 1, calls
 
 
 def test_exp_consistency_non_dcp_falsified():
